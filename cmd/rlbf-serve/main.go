@@ -7,8 +7,11 @@
 // Usage:
 //
 //	rlbf-serve -addr :8080 -procs 128 -policy FCFS -backfill conservative
-//	rlbf-serve -addr :8080 -procs 128 -scale 3600 -snapshot state.json -snapshot-every 10s
-//	rlbf-serve -resume state.json -addr :8080 -procs 128
+//	rlbf-serve -addr :8080 -procs 128 -scale 3600 -wal cmd.wal -snapshot state.json -snapshot-every 10s
+//
+// Without -wal the daemon keeps its state in memory only. With -wal (and
+// its -snapshot) every acknowledged command is logged, and a restart on the
+// same files recovers the exact schedule (DESIGN.md §13).
 //
 // Replicated deployment (DESIGN.md §14): a primary plus warm-standby
 // followers that tail its command WAL over HTTP, byte-verify the derived
@@ -59,9 +62,8 @@ func main() {
 	scale := flag.Float64("scale", 1, "simulated seconds per wall second")
 	priorities := flag.Bool("priorities", false, "schedule with priority-tier ordering")
 	starvationBound := flag.Float64("starvation-bound", 0, "aging bound: a job starves once wait exceeds bound x request (0 = off)")
-	snapshotPath := flag.String("snapshot", "", "write periodic JSON state snapshots to this file")
+	snapshotPath := flag.String("snapshot", "", "JSON state snapshot file of the WAL (needs -wal)")
 	snapshotEvery := flag.Duration("snapshot-every", 30*time.Second, "snapshot cadence (needs -snapshot)")
-	resume := flag.String("resume", "", "resume from a state snapshot written by -snapshot")
 	walPath := flag.String("wal", "", "durable write-ahead log path (needs -snapshot); recovers automatically from existing files")
 	walNoSync := flag.Bool("wal-nosync", false, "skip the per-command WAL fsync (faster, may lose acked work on crash)")
 	compactEvery := flag.Int("compact-every", 4096, "rotate snapshot+WAL after this many log records")
@@ -130,6 +132,9 @@ func main() {
 	if *walPath != "" && *snapshotPath == "" {
 		fatal("-wal requires -snapshot (compaction rotates through the snapshot file)")
 	}
+	if *snapshotPath != "" && *walPath == "" {
+		fatal("-snapshot requires -wal (the WAL is the only persistence mode)")
+	}
 
 	var sched *serve.Scheduler
 	var follower *serve.Follower
@@ -175,16 +180,6 @@ func main() {
 		if fenced {
 			sched.Fence(fencePeer, fenceGen)
 		}
-	case *resume != "":
-		st, err := serve.ReadState(*resume)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if sched, err = serve.NewFromState(cfg, st); err != nil {
-			fatal("%v", err)
-		}
-		log.Printf("rlbf-serve: resumed %s at sim clock %d: %d queued, %d running, %d records",
-			st.Name, st.SimClock, len(st.Queued), len(st.Running), len(st.Records))
 	default:
 		if sched, err = serve.New(cfg); err != nil {
 			fatal("%v", err)

@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/replica"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -30,10 +28,15 @@ import (
 // --- primary-side hooks (run goroutine only) ---
 
 // publishRepl hands the WAL payloads appended since the last publish to the
-// replication feed, stamped with the history cursor as of now. Called at
-// round boundaries (end of advanceTo, after a cancel append), so a batch
-// always ends at an instant where the digest is well-defined.
+// replication feed, stamped with the history cursor as of now, and moves the
+// advertised position (WALApplied) to the end of the WAL. Called at round
+// boundaries (end of advanceTo, after a cancel append, after a follower's
+// batch passed verification), so a batch always ends at an instant where the
+// digest is well-defined.
 func (s *Scheduler) publishRepl() {
+	if s.wlog != nil {
+		s.walCount.Store(int64(s.wlog.Records()))
+	}
 	if s.feed == nil || len(s.repPend) == 0 {
 		return
 	}
@@ -83,8 +86,8 @@ func (s *Scheduler) HistoryFrames(to int) ([][]byte, error) {
 }
 
 // handleApply mirrors one replication batch (run goroutine, follower role):
-// append each payload verbatim to the local WAL, apply it through the engine
-// exactly as Recover's replay would, then compare the derived history cursor
+// apply each payload through applyCmd, exactly as Recover's replay does, and
+// append it verbatim to the local WAL, then compare the derived history cursor
 // against the primary's. Divergence is a refusal: the replica stops rather
 // than serve (or later promote) a forked history.
 func (s *Scheduler) handleApply(b *applyBatch) (int, error) {
@@ -96,41 +99,11 @@ func (s *Scheduler) handleApply(b *applyBatch) (int, error) {
 	}
 	for i, p := range b.payloads {
 		rec, err := decodeWalRec(p)
-		if err != nil {
-			return 0, fmt.Errorf("serve: apply batch record %d: %v", i, err)
+		if err == nil {
+			_, err = s.applyCmd(rec)
 		}
-		switch rec.kind {
-		case walKindSubmit:
-			if err := s.eng.Inject(rec.job); err != nil {
-				return 0, fmt.Errorf("serve: apply submit of job %d: %v", rec.job.ID, err)
-			}
-			s.submitted[rec.job.ID] = rec.job
-			if rec.idem != "" {
-				s.idem[rec.idem] = rec.job.ID
-			}
-			if rec.job.ID >= s.nextID {
-				s.nextID = rec.job.ID + 1
-			}
-			s.mSubmits.Inc()
-			if rec.job.Submit > s.replClock {
-				s.replClock = rec.job.Submit
-			}
-		case walKindCancel:
-			s.stepTo(rec.time)
-			if s.eng.Cancel(rec.id) {
-				s.mCancels.Inc()
-			}
-			s.canceledIDs[rec.id] = true
-			if rec.time > s.replClock {
-				s.replClock = rec.time
-			}
-		case walKindAdvance:
-			s.stepTo(rec.time)
-			if rec.time > s.replClock {
-				s.replClock = rec.time
-			}
-		default:
-			return 0, fmt.Errorf("serve: apply batch record %d has kind %d, not a command", i, rec.kind)
+		if err != nil {
+			return 0, fmt.Errorf("serve: apply batch record %d: %w", i, err)
 		}
 		s.walAppend(p)
 	}
@@ -147,10 +120,11 @@ func (s *Scheduler) handleApply(b *applyBatch) (int, error) {
 		log.Printf("serve: %s: %v", s.cfg.Name, err)
 		return 0, err
 	}
-	s.publishRepl() // keep our own feed current for chained followers / post-promotion rejoins
-	s.mQueue.Set(int64(s.eng.QueueLen()))
-	s.mFree.Set(int64(s.eng.FreeProcs()))
-	s.mRunning.Set(int64(s.eng.RunningCount()))
+	// Only now, verified, does the batch count toward our advertised
+	// position; the publish also keeps our own feed current for chained
+	// followers and post-promotion rejoins.
+	s.publishRepl()
+	s.setGauges()
 	if b.rotateTo != 0 && b.rotateTo != s.walGen {
 		s.compactTo(b.rotateTo)
 		if s.degraded.Load() {
@@ -308,7 +282,7 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 
 // localPosition peeks at the on-disk durability files without recovering.
 func localPosition(cfg Config) (exists bool, gen uint64, seq int) {
-	st, err := readStateFS(cfg.FS, cfg.SnapshotPath)
+	st, err := loadSnapshot(cfg.FS, cfg.SnapshotPath)
 	if err != nil {
 		return false, 0, 0
 	}
@@ -432,7 +406,7 @@ func bootstrapFollower(cfg Config, fc FollowConfig) (*Scheduler, string, error) 
 	if err != nil {
 		return nil, "", err
 	}
-	s, err := newFromStateWithPrior(cfg, b.st, b.prior)
+	s, err := newScheduler(cfg, b.st, b.prior)
 	if err != nil {
 		return nil, "", err
 	}
@@ -456,67 +430,16 @@ func (s *Scheduler) handleReseed(b *bootstrapData) error {
 	if s.degraded.Load() {
 		return fmt.Errorf("serve: reseed: degraded: %s", s.DegradedReason())
 	}
-	if b.st.Procs != s.cfg.Procs || b.st.Mem != s.cfg.Mem {
-		return fmt.Errorf("serve: reseed: state machine %d procs/%d mem does not match config %d/%d",
-			b.st.Procs, b.st.Mem, s.cfg.Procs, s.cfg.Mem)
-	}
-	rest := &trace.Trace{Name: s.cfg.Name, Procs: s.cfg.Procs, Mem: s.cfg.Mem, Jobs: b.st.Pending}
-	snap := sim.Snapshot{Clock: b.st.SimClock, Queued: b.st.Queued, Running: b.st.Running}
-	eng, err := sim.NewEngineFromSnapshot(rest, s.simConfig(), snap)
-	if err != nil {
+	if err := s.installState(b.st, b.prior); err != nil {
 		return fmt.Errorf("serve: reseed: %w", err)
 	}
-	prevCount := s.histCount
-	if s.hlog != nil {
-		s.hlog.Close()
-		s.hlog = nil
-	}
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
-	}
+	s.closeLogs()
 	if err := s.installBootstrap(b); err != nil {
 		// The old logs are gone and the new triple is incomplete: durability
 		// is lost until an operator intervenes, exactly like a failed rotation.
 		s.degrade("reseed", err)
 		return err
 	}
-	s.eng = eng
-	s.simEpoch = b.st.SimClock
-	s.wallEpoch = s.clock.Now()
-	s.replClock = b.st.SimClock
-	s.nextID = b.st.NextID
-	s.prior = b.prior
-	s.recSeen = 0
-	s.repPend = nil
-	s.submitted = make(map[int]*trace.Job)
-	s.started = make(map[int]metrics.Record)
-	s.canceledIDs = make(map[int]bool)
-	s.idem = make(map[string]int)
-	s.predCache = make(map[int]int64)
-	s.predStamp = -1
-	for _, r := range b.prior {
-		s.started[r.Job.ID] = r
-		s.submitted[r.Job.ID] = r.Job
-	}
-	for _, j := range b.st.Queued {
-		s.submitted[j.ID] = j
-	}
-	for _, j := range b.st.Pending {
-		s.submitted[j.ID] = j
-	}
-	for _, id := range b.st.Canceled {
-		s.canceledIDs[id] = true
-	}
-	for k, id := range b.st.Idem {
-		s.idem[k] = id
-	}
-	if d := b.histCount - prevCount; d > 0 {
-		s.mStarted.Add(int64(d))
-	}
-	s.mQueue.Set(int64(s.eng.QueueLen()))
-	s.mFree.Set(int64(s.eng.FreeProcs()))
-	s.mRunning.Set(int64(s.eng.RunningCount()))
 	s.mReplReseeds.Inc()
 	log.Printf("serve: %s: re-bootstrapped in place at generation %d (%d history records, digest %08x)",
 		s.cfg.Name, b.gen, b.histCount, b.histDigest)
@@ -724,7 +647,7 @@ func FenceCheck(cfg Config, peers []string, hc *http.Client) (peer string, peerG
 	applyWALDefaults(&cfg)
 	localGen, err := wal.PeekGen(cfg.FS, cfg.WALPath)
 	if err != nil {
-		if st, serr := readStateFS(cfg.FS, cfg.SnapshotPath); serr == nil {
+		if st, serr := loadSnapshot(cfg.FS, cfg.SnapshotPath); serr == nil {
 			localGen = st.WALGen
 		} else if errors.Is(err, os.ErrNotExist) {
 			localGen = 0 // brand new daemon: any existing peer generation wins

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backfill"
 	"repro/internal/replica"
 	"repro/internal/wal"
 )
@@ -365,5 +367,144 @@ func TestServeFollowerReadOnly(t *testing.T) {
 	hresp.Body.Close()
 	if h.Role != "follower" || h.Gen != f.Scheduler().WALGen() || h.Name != "bravo" {
 		t.Fatalf("follower health %+v", h)
+	}
+}
+
+// statusesOf queries the status of jobs 1..n.
+func statusesOf(t *testing.T, s *Scheduler, n int) []JobStatus {
+	t.Helper()
+	out := make([]JobStatus, n)
+	for i := range out {
+		st, err := s.Status(i + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = st
+	}
+	return out
+}
+
+// TestServeFollowerStatusMatchesPrimary pins that a caught-up follower
+// answers /status exactly like its primary for every job, including a job
+// applied at an instant the follower had already answered a query for.
+func TestServeFollowerStatusMatchesPrimary(t *testing.T) {
+	clk := NewManualClock(time.Unix(1700000000, 0))
+	p, _, _, f := startReplicaPair(t, clk, 0, FollowConfig{}, nil)
+	fs := f.Scheduler()
+	check := func(n int) {
+		t.Helper()
+		// The primary first: a status query may advance its clock and log
+		// that advance, which the follower must then catch up on.
+		want := statusesOf(t, p, n)
+		waitCaughtUp(t, p, fs, 10*time.Second)
+		got := statusesOf(t, fs, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("job %d: follower status %+v, primary %+v", i+1, got[i], want[i])
+			}
+		}
+	}
+
+	clk.Advance(time.Second)
+	for _, req := range []JobRequest{{Procs: 32, Runtime: 100}, {Procs: 32, Runtime: 50}} {
+		if _, err := p.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(2)
+	// Same instant: the follower already answered a query at this clock.
+	if _, err := p.Submit(JobRequest{Procs: 32, Runtime: 10}); err != nil {
+		t.Fatal(err)
+	}
+	check(3)
+
+	ops := makeScript(53, 60, 32, false)
+	for i, op := range ops {
+		clk.Advance(op.advance)
+		res, err := p.Submit(op.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 && !res.Started {
+			if _, err := p.CancelJob(res.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%10 == 9 {
+			check(3 + i + 1)
+		}
+	}
+}
+
+// TestServeFollowerDivergentBatchKeepsPosition pins that a batch failing the
+// digest check does not advance the follower's advertised position: peers
+// rank election candidates by WALApplied, which must count verified records
+// only.
+func TestServeFollowerDivergentBatchKeepsPosition(t *testing.T) {
+	clk := NewManualClock(time.Unix(1700000000, 0))
+	p, _, _, f := startReplicaPair(t, clk, 0, FollowConfig{}, nil)
+	runScriptCancel(t, p, clk, makeScript(19, 20, 32, false), 0, 0)
+	waitCaughtUp(t, p, f.Scheduler(), 10*time.Second)
+	f.Stop()
+	fs := f.Scheduler()
+	before := fs.WALApplied()
+
+	// A well-formed advance record, shipped with a digest that cannot match.
+	adv := binary.LittleEndian.AppendUint64([]byte{walKindAdvance}, uint64(fs.eng.Now()+1))
+	_, err := fs.ApplyReplica([][]byte{adv}, 1<<20, 0xdeadbeef, 0)
+	if !errors.Is(err, ErrReplicaDivergence) {
+		t.Fatalf("ApplyReplica with a wrong digest: %v, want ErrReplicaDivergence", err)
+	}
+	if got := fs.WALApplied(); got != before {
+		t.Fatalf("WALApplied %d after a rejected batch, want %d", got, before)
+	}
+}
+
+// TestServeReplicaPairSharedBackfiller hands one backfiller instance to both
+// sides of a replica pair. Each scheduler must work on its own clone, so the
+// pair stays race-free (run under -race) and replicates the exact schedule.
+func TestServeReplicaPairSharedBackfiller(t *testing.T) {
+	ops := makeScript(71, 120, 32, false)
+	epoch := time.Unix(1700000000, 0)
+	want := refRun(t, ops, epoch, 0)
+
+	shared := backfill.NewConservative(backfill.RequestTime{})
+	clk := NewManualClock(epoch)
+	cfgP := walConfig(clk, t.TempDir(), nil, 0)
+	cfgP.Name = "alpha"
+	cfgP.Backfiller = shared
+	p, err := New(cfgP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	ts := httptest.NewServer(NewServer(p, 64, 0).Handler())
+	defer ts.Close()
+	cfgF := walConfig(clk, t.TempDir(), nil, 0)
+	cfgF.Name = "bravo"
+	cfgF.Backfiller = shared
+	cfgF.Lease = time.Hour
+	f, err := NewFollower(cfgF, FollowConfig{Peers: []string{ts.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	defer f.Stop()
+
+	runScriptCancel(t, p, clk, ops, 0, 0)
+	waitCaughtUp(t, p, f.Scheduler(), 10*time.Second)
+	p.crash()
+	ts.Close()
+	f.Stop()
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(24 * time.Hour)
+	st, err := f.Scheduler().Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRecords(st.Records); got != want {
+		t.Fatalf("shared-backfiller replica schedule differs:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

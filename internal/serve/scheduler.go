@@ -10,9 +10,9 @@
 // locks and stays exactly the deterministic batch kernel. The clock adapter
 // maps wall time to simulation seconds (simNow = simEpoch + elapsed *
 // TimeScale); between commands the goroutine sleeps until the next pending
-// engine event's wall deadline. Periodic snapshots give crash recovery:
-// CaptureState marshals the engine snapshot plus the daemon bookkeeping, and
-// NewFromState resumes a byte-identical schedule.
+// engine event's wall deadline. Durability is the write-ahead log of
+// DESIGN.md §13: Recover rebuilds a byte-identical schedule from the last
+// snapshot plus the logged commands; without a WAL the daemon is in-memory.
 package serve
 
 import (
@@ -43,7 +43,8 @@ type Config struct {
 	// Policy is the base scheduling policy; required.
 	Policy sched.Policy
 	// Backfiller runs when the head job cannot start; nil disables
-	// backfilling.
+	// backfilling. A backfill.Cloneable backfiller is cloned per scheduler,
+	// so one Config may serve a primary and its follower.
 	Backfiller backfill.Backfiller
 	// Scenario layers priority tiers / starvation bounds onto the policy.
 	Scenario sched.Scenario
@@ -55,8 +56,9 @@ type Config struct {
 	TimeScale float64
 	// Clock abstracts wall time; nil defaults to RealClock.
 	Clock Clock
-	// SnapshotPath, when non-empty, receives periodic JSON state snapshots
-	// (atomic tmp+rename) and the final drain snapshot.
+	// SnapshotPath receives the WAL's JSON state snapshots (atomic
+	// tmp+rename): rotations, the periodic ones and the final drain
+	// snapshot. Set together with WALPath, or not at all.
 	SnapshotPath string
 	// SnapshotEvery is the wall-clock snapshot cadence; 0 disables periodic
 	// snapshots (the drain snapshot still happens).
@@ -71,7 +73,8 @@ type Config struct {
 	// WALPath, when non-empty, enables the durability layer (DESIGN.md §13):
 	// every state-changing command is appended to a checksummed write-ahead
 	// log and fsync'd before the client sees its acknowledgement, so a crash
-	// at any instant loses no accepted work. Requires SnapshotPath.
+	// at any instant loses no accepted work. Requires SnapshotPath. Empty
+	// means in-memory only: nothing is persisted.
 	WALPath string
 	// HistoryPath is the append-only completed-record log paired with the
 	// WAL; "" defaults to WALPath + ".hist".
@@ -285,9 +288,10 @@ type reply struct {
 	err    error
 }
 
-// Scheduler owns the live engine. Construct with New or NewFromState, call
-// Start, and issue commands through the exported methods; every method is
-// safe for concurrent use (they serialize on the command channel).
+// Scheduler owns the live engine. Construct with New, Recover or
+// NewFollower, call Start, and issue commands through the exported methods;
+// every method is safe for concurrent use (they serialize on the command
+// channel).
 type Scheduler struct {
 	cfg   Config
 	clock Clock
@@ -328,7 +332,7 @@ type Scheduler struct {
 	histCount  int
 	histDigest uint32   // chained CRC32C over history payloads
 	repPend    [][]byte // WAL payloads appended since the last feed publish
-	replClock  int64    // furthest instant seen in applied batches (follower)
+	replClock  int64    // furthest instant any applied command reached
 	encBuf     []byte
 	idem       map[string]int // idempotency key -> assigned job ID
 
@@ -337,15 +341,14 @@ type Scheduler struct {
 	qbuf      []*trace.Job
 	planBuf   []backfill.PlannedStart
 	predCache map[int]int64
-	predStamp int64 // decisions count the cache was built at
-	predClock int64 // sim clock the cache was built at
+	predOK    bool // predCache reflects the current engine state
 
 	nextID      int
 	submitted   map[int]*trace.Job
 	canceledIDs map[int]bool
 	started     map[int]metrics.Record
 	recSeen     int
-	prior       []metrics.Record // records carried over from a resumed state
+	prior       []metrics.Record // records completed before the installed state
 
 	reg        *metrics.Registry
 	mSubmits   *metrics.Counter
@@ -379,10 +382,11 @@ type Scheduler struct {
 	mRoundStalls     *metrics.Counter
 }
 
-// New prepares a scheduler over an empty cluster, initializing the
-// durability files when WALPath is configured. Call Start to begin serving.
+// New prepares a scheduler over an empty cluster, initializing fresh
+// durability files when WALPath is configured (Recover resumes existing
+// ones). Call Start to begin serving.
 func New(cfg Config) (*Scheduler, error) {
-	s, err := newEmpty(cfg)
+	s, err := newScheduler(cfg, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -394,52 +398,40 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// newEmpty builds the in-memory scheduler over an empty cluster without
-// touching the durability files (Recover attaches them itself).
-func newEmpty(cfg Config) (*Scheduler, error) {
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, err
+// installState replaces the engine and all daemon bookkeeping with st (nil
+// means an empty cluster) and the records completed before it, and
+// re-anchors the clock adapter so simulation time continues from st's clock.
+// It is the only place an engine is built: construction, recovery, follower
+// bootstrap and reseed all come through here. On error nothing has changed.
+func (s *Scheduler) installState(st *State, prior []metrics.Record) error {
+	if st == nil {
+		st = &State{Procs: s.cfg.Procs, Mem: s.cfg.Mem, NextID: 1}
 	}
-	eng, err := sim.NewLiveEngine(cfg.Name, cfg.Procs, cfg.Mem, s.simConfig())
+	if st.Procs != s.cfg.Procs || st.Mem != s.cfg.Mem {
+		return fmt.Errorf("serve: state machine %d procs/%d mem does not match config %d/%d",
+			st.Procs, st.Mem, s.cfg.Procs, s.cfg.Mem)
+	}
+	rest := &trace.Trace{Name: s.cfg.Name, Procs: s.cfg.Procs, Mem: s.cfg.Mem, Jobs: st.Pending}
+	simCfg := sim.Config{Policy: s.cfg.Policy, Backfiller: s.cfg.Backfiller, Scenario: s.cfg.Scenario}
+	eng, err := sim.NewEngineFromSnapshot(rest, simCfg, sim.Snapshot{Clock: st.SimClock, Queued: st.Queued, Running: st.Running})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.eng = eng
-	s.nextID = 1
-	return s, nil
-}
-
-// NewFromState resumes a scheduler from a legacy self-contained snapshot
-// (record history embedded in the state). WAL-mode recovery goes through
-// Recover instead, which also replays the log tail.
-func NewFromState(cfg Config, st *State) (*Scheduler, error) {
-	return newFromStateWithPrior(cfg, st, st.Records)
-}
-
-// newFromStateWithPrior rebuilds the engine via sim.NewEngineFromSnapshot
-// with an explicit prior-record history (embedded in the snapshot for legacy
-// states, loaded from the history log in WAL mode), and re-anchors the clock
-// adapter so simulation time continues from the snapshot clock.
-func newFromStateWithPrior(cfg Config, st *State, prior []metrics.Record) (*Scheduler, error) {
-	if st.Procs != cfg.Procs || st.Mem != cfg.Mem {
-		return nil, fmt.Errorf("serve: state machine %d procs/%d mem does not match config %d/%d",
-			st.Procs, st.Mem, cfg.Procs, cfg.Mem)
-	}
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rest := &trace.Trace{Name: cfg.Name, Procs: cfg.Procs, Mem: cfg.Mem, Jobs: st.Pending}
-	snap := sim.Snapshot{Clock: st.SimClock, Queued: st.Queued, Running: st.Running}
-	eng, err := sim.NewEngineFromSnapshot(rest, s.simConfig(), snap)
-	if err != nil {
-		return nil, err
-	}
-	s.eng = eng
-	s.simEpoch = st.SimClock
+	s.wallEpoch = s.clock.Now()
+	s.simEpoch, s.replClock = st.SimClock, st.SimClock
 	s.nextID = st.NextID
 	s.prior = prior
+	s.recSeen = 0
+	s.repPend = nil
+	s.predOK = false
+	s.submitted = make(map[int]*trace.Job)
+	s.started = make(map[int]metrics.Record)
+	s.canceledIDs = make(map[int]bool)
+	s.idem = maps.Clone(st.Idem)
+	if s.idem == nil {
+		s.idem = make(map[string]int)
+	}
 	for _, r := range prior {
 		s.started[r.Job.ID] = r
 		s.submitted[r.Job.ID] = r.Job
@@ -453,14 +445,16 @@ func newFromStateWithPrior(cfg Config, st *State, prior []metrics.Record) (*Sche
 	for _, id := range st.Canceled {
 		s.canceledIDs[id] = true
 	}
-	for k, id := range st.Idem {
-		s.idem[k] = id
+	if d := int64(len(prior)) - s.mStarted.Value(); d > 0 {
+		s.mStarted.Add(d) // counters never run backwards
 	}
-	s.mStarted.Add(int64(len(prior)))
-	return s, nil
+	s.setGauges()
+	return nil
 }
 
-func newScheduler(cfg Config) (*Scheduler, error) {
+// newScheduler validates cfg, registers the daemon's metrics and installs st
+// (nil = an empty cluster) without touching the durability files.
+func newScheduler(cfg Config, st *State, prior []metrics.Record) (*Scheduler, error) {
 	if cfg.Policy == nil {
 		return nil, errors.New("serve: config needs a base scheduling policy")
 	}
@@ -473,23 +467,26 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.WALPath != "" && cfg.SnapshotPath == "" {
 		return nil, errors.New("serve: WALPath requires SnapshotPath (compaction writes snapshots)")
 	}
+	if cfg.SnapshotPath != "" && cfg.WALPath == "" {
+		return nil, errors.New("serve: SnapshotPath requires WALPath (the WAL is the only persistence mode)")
+	}
 	applyWALDefaults(&cfg)
+	// Backfillers keep per-replay scratch state, so a scheduler never runs
+	// the caller's instance: two schedulers built from one Config would race.
+	if c, ok := cfg.Backfiller.(backfill.Cloneable); ok {
+		cfg.Backfiller = c.Fresh()
+	}
 	s := &Scheduler{
-		cfg:         cfg,
-		clock:       cfg.Clock,
-		scale:       cfg.TimeScale,
-		est:         cfg.Estimator,
-		fs:          cfg.FS,
-		cmds:        make(chan command),
-		done:        make(chan struct{}),
-		killC:       make(chan struct{}),
-		submitted:   make(map[int]*trace.Job),
-		canceledIDs: make(map[int]bool),
-		started:     make(map[int]metrics.Record),
-		idem:        make(map[string]int),
-		predCache:   make(map[int]int64),
-		predStamp:   -1,
-		reg:         cfg.Registry,
+		cfg:       cfg,
+		clock:     cfg.Clock,
+		scale:     cfg.TimeScale,
+		est:       cfg.Estimator,
+		fs:        cfg.FS,
+		cmds:      make(chan command),
+		done:      make(chan struct{}),
+		killC:     make(chan struct{}),
+		predCache: make(map[int]int64),
+		reg:       cfg.Registry,
 	}
 	if s.clock == nil {
 		s.clock = RealClock{}
@@ -506,7 +503,6 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
 	}
-	s.wallEpoch = s.clock.Now()
 	s.mSubmits = s.reg.NewCounter("rlbf_submissions_total", "Accepted job submissions.")
 	s.mCancels = s.reg.NewCounter("rlbf_cancellations_total", "Successful job cancellations.")
 	s.mStatus = s.reg.NewCounter("rlbf_status_queries_total", "Status queries served.")
@@ -539,11 +535,10 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.WALPath != "" {
 		s.feed = replica.NewFeed()
 	}
+	if err := s.installState(st, prior); err != nil {
+		return nil, err
+	}
 	return s, nil
-}
-
-func (s *Scheduler) simConfig() sim.Config {
-	return sim.Config{Policy: s.cfg.Policy, Backfiller: s.cfg.Backfiller, Scenario: s.cfg.Scenario}
 }
 
 // Registry returns the metrics registry the daemon reports into.
@@ -779,9 +774,7 @@ func (s *Scheduler) run() {
 		case <-snapC:
 			s.beginRound()
 			s.advanceNow()
-			if st, err := s.captureState(); err == nil {
-				_ = s.writeSnapshot(st)
-			}
+			_ = s.writeSnapshot(s.captureState())
 			s.endRound()
 			snapC = s.clock.After(s.cfg.SnapshotEvery)
 		case <-s.killC:
@@ -830,26 +823,84 @@ func (s *Scheduler) advanceNow() int64 {
 }
 
 // advanceTo processes every engine event due at or before simulation instant
-// `now`, timing each event batch as one scheduling decision. When the
-// advance will fire events, it is logged to the WAL first, so replay reaches
+// `now`. An advance that fires events is a logged command, so replay reaches
 // the same instant before re-deriving the same events; idle advances write
 // nothing.
 func (s *Scheduler) advanceTo(now int64) {
 	if t, ok := s.eng.NextEventTime(); ok && t <= now {
-		s.walAdvance(now)
+		s.exec(walRec{kind: walKindAdvance, time: now})
 	}
+	s.syncRecords()
+	s.publishRepl()
+	s.setGauges()
+}
+
+// stepTo processes every engine event due at or before t, timing each event
+// batch as one scheduling decision.
+func (s *Scheduler) stepTo(t int64) {
 	for {
-		t, ok := s.eng.NextEventTime()
-		if !ok || t > now {
-			break
+		et, ok := s.eng.NextEventTime()
+		if !ok || et > t {
+			return
 		}
 		t0 := time.Now()
 		s.eng.Step()
 		s.hDecision.Observe(time.Since(t0).Seconds())
 		s.mDecisions.Inc()
 	}
-	s.syncRecords()
-	s.publishRepl()
+}
+
+// applyCmd executes one state-changing command on the engine and the daemon
+// bookkeeping. It is the only interpreter of the command log: live
+// handlers, Recover's replay and a follower's applied batches all come
+// through here, so they derive the same schedule by construction. Logging,
+// syncing and verification stay with the callers. It reports false for a
+// cancel that found no waiting job.
+func (s *Scheduler) applyCmd(rec walRec) (bool, error) {
+	s.predOK = false
+	switch rec.kind {
+	case walKindSubmit:
+		j := rec.job
+		if err := s.eng.Inject(j); err != nil {
+			return false, fmt.Errorf("submit of job %d: %w", j.ID, err)
+		}
+		s.submitted[j.ID] = j
+		if rec.idem != "" {
+			s.idem[rec.idem] = j.ID
+		}
+		s.nextID = max(s.nextID, j.ID+1)
+		s.mSubmits.Inc()
+		s.replClock = max(s.replClock, j.Submit)
+		return true, nil
+	case walKindCancel:
+		s.stepTo(rec.time)
+		s.replClock = max(s.replClock, rec.time)
+		if !s.eng.Cancel(rec.id) {
+			return false, nil
+		}
+		s.canceledIDs[rec.id] = true
+		s.mCancels.Inc()
+		return true, nil
+	case walKindAdvance:
+		s.stepTo(rec.time)
+		s.replClock = max(s.replClock, rec.time)
+		return true, nil
+	}
+	return false, fmt.Errorf("record kind %d is not a command", rec.kind)
+}
+
+// exec runs a live command through applyCmd and, once it took effect,
+// appends it to the WAL.
+func (s *Scheduler) exec(rec walRec) (bool, error) {
+	ok, err := s.applyCmd(rec)
+	if ok && s.wlog != nil {
+		s.encBuf = rec.encode(s.encBuf[:0])
+		s.walAppend(s.encBuf)
+	}
+	return ok, err
+}
+
+func (s *Scheduler) setGauges() {
 	s.mQueue.Set(int64(s.eng.QueueLen()))
 	s.mFree.Set(int64(s.eng.FreeProcs()))
 	s.mRunning.Set(int64(s.eng.RunningCount()))
@@ -881,23 +932,11 @@ func (s *Scheduler) handle(c command) bool {
 			c.reply <- reply{err: err}
 			return false
 		}
-		now := s.advanceNow()
-		ok := false
-		if !s.canceledIDs[c.id] {
-			if _, startedAlready := s.started[c.id]; !startedAlready {
-				ok = s.eng.Cancel(c.id)
-			}
-		}
+		ok, _ := s.exec(walRec{kind: walKindCancel, id: c.id, time: s.advanceNow()})
 		if ok {
-			s.canceledIDs[c.id] = true
-			s.mCancels.Inc()
-			if s.wlog != nil {
-				s.encBuf = encodeCancel(s.encBuf[:0], c.id, now)
-				s.walAppend(s.encBuf)
-				s.walSync()
-				s.publishRepl()
-				s.replWait()
-			}
+			s.walSync()
+			s.publishRepl()
+			s.replWait()
 		}
 		c.reply <- reply{ok: ok}
 	case cmdStatus:
@@ -912,11 +951,8 @@ func (s *Scheduler) handle(c command) bool {
 		c.reply <- reply{}
 	case cmdSnapshot:
 		s.advanceNow()
-		st, err := s.captureState()
-		if err == nil {
-			err = s.writeSnapshot(st)
-		}
-		c.reply <- reply{state: st, err: err}
+		st := s.captureState()
+		c.reply <- reply{state: st, err: s.writeSnapshot(st)}
 	case cmdApply:
 		seq, err := s.handleApply(c.batch)
 		c.reply <- reply{seq: seq, err: err}
@@ -927,10 +963,8 @@ func (s *Scheduler) handle(c command) bool {
 	case cmdDrain:
 		s.draining.Store(true)
 		s.advanceNow()
-		st, err := s.captureState()
-		if err == nil {
-			err = s.writeSnapshot(st)
-		}
+		st := s.captureState()
+		err := s.writeSnapshot(st)
 		s.closeWAL()
 		if s.feed != nil {
 			s.feed.Close()
@@ -992,27 +1026,17 @@ func (s *Scheduler) handleSubmit(req JobRequest) (SubmitResult, error) {
 	if j.Request <= 0 {
 		j.Request = j.Runtime // convenience: perfect user estimate
 	}
-	if err := s.eng.Inject(j); err != nil {
+	if _, err := s.exec(walRec{kind: walKindSubmit, job: j, idem: req.IdemKey}); err != nil {
 		return SubmitResult{}, err
-	}
-	s.nextID++
-	s.submitted[j.ID] = j
-	if req.IdemKey != "" {
-		s.idem[req.IdemKey] = j.ID
-	}
-	if s.wlog != nil {
-		s.encBuf = encodeSubmit(s.encBuf[:0], j, req.IdemKey)
-		s.walAppend(s.encBuf)
 	}
 	s.advanceTo(now)
 	s.walSync() // the ack below must not outrun the disk
 	s.replWait()
-	s.mSubmits.Inc()
 	res := SubmitResult{ID: j.ID, Submit: now, PredictedStart: -1}
 	if rec, ok := s.started[j.ID]; ok {
 		res.Started = true
 		res.PredictedStart = rec.Start
-	} else if p, ok := s.predictedStart(j.ID, now); ok {
+	} else if p, ok := s.predictedStart(j.ID); ok {
 		res.PredictedStart = p
 	}
 	s.hSubmit.Observe(time.Since(t0).Seconds())
@@ -1053,7 +1077,7 @@ func (s *Scheduler) statusOf(id int, now int64) JobStatus {
 		return JobStatus{ID: id, State: "unknown"}
 	}
 	st := JobStatus{ID: id, State: "queued", Submit: j.Submit, PredictedStart: -1}
-	if p, ok := s.predictedStart(id, now); ok {
+	if p, ok := s.predictedStart(id); ok {
 		st.PredictedStart = p
 		st.Wait = p - j.Submit
 	}
@@ -1061,12 +1085,12 @@ func (s *Scheduler) statusOf(id int, now int64) JobStatus {
 }
 
 // predictedStart answers from the reservation profile via the shared
-// planner (backfill.Predictor), caching the full plan per engine state so a
-// burst of status queries costs one projection. Queues beyond PredictCap are
-// not projected (ok=false) — a deep backlog would make every query O(queue).
-func (s *Scheduler) predictedStart(id int, now int64) (int64, bool) {
-	decs := s.mDecisions.Value()
-	if s.predStamp != decs || s.predClock != now {
+// planner (backfill.Predictor), caching the full plan until applyCmd next
+// changes the engine, so a burst of status queries costs one projection.
+// Queues beyond PredictCap are not projected (ok=false) — a deep backlog
+// would make every query O(queue).
+func (s *Scheduler) predictedStart(id int) (int64, bool) {
+	if !s.predOK {
 		if s.eng.QueueLen() > s.cfg.PredictCap {
 			return 0, false
 		}
@@ -1076,8 +1100,7 @@ func (s *Scheduler) predictedStart(id int, now int64) (int64, bool) {
 		for _, p := range s.planBuf {
 			s.predCache[p.Job.ID] = p.Start
 		}
-		s.predStamp = decs
-		s.predClock = now
+		s.predOK = true
 	}
 	p, ok := s.predCache[id]
 	return p, ok
@@ -1128,7 +1151,7 @@ func (s *Scheduler) statsLocked() Stats {
 // State. Called on the run goroutine after advanceTo, so the snapshot is at
 // a quiescent instant: every event at or before the current simulation time
 // has been fully processed.
-func (s *Scheduler) captureState() (*State, error) {
+func (s *Scheduler) captureState() *State {
 	snap := s.eng.Snapshot()
 	st := &State{
 		Version:  stateVersion,
@@ -1150,5 +1173,5 @@ func (s *Scheduler) captureState() (*State, error) {
 		st.Idem = maps.Clone(s.idem)
 	}
 	st.HistoryCount = s.histCount
-	return st, nil
+	return st
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -74,11 +73,11 @@ func runScript(t *testing.T, s *Scheduler, clk *ManualClock, ops []scriptOp) {
 	}
 }
 
-// TestSchedulerCrashRecoveryByteIdentical is the crash-recovery round trip
-// the issue pins: run half a submission script, snapshot to JSON, abandon
-// the daemon, resume a fresh one from the file, run the second half — and
-// the merged schedule must be byte-identical to an uninterrupted run of the
-// whole script.
+// TestSchedulerCrashRecoveryByteIdentical is the crash-recovery round trip:
+// run half a submission script, snapshot to disk, kill the daemon without a
+// drain, recover a fresh one from the snapshot and WAL, run the second half
+// — and the merged schedule must be byte-identical to an uninterrupted run
+// of the whole script.
 func TestSchedulerCrashRecoveryByteIdentical(t *testing.T) {
 	for _, seed := range []uint64{5, 21} {
 		ops := makeScript(seed, 300, 32, false)
@@ -100,10 +99,8 @@ func TestSchedulerCrashRecoveryByteIdentical(t *testing.T) {
 		}
 
 		// Interrupted run: first half, snapshot to disk, kill.
-		path := filepath.Join(t.TempDir(), "state.json")
 		clk := NewManualClock(epoch)
-		cfg := testConfig(clk)
-		cfg.SnapshotPath = path
+		cfg := walConfig(clk, t.TempDir(), nil, 0)
 		first, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -113,18 +110,11 @@ func TestSchedulerCrashRecoveryByteIdentical(t *testing.T) {
 		if _, err := first.CaptureState(); err != nil {
 			t.Fatal(err)
 		}
-		// Simulate the crash: stop the loop without using its drain state.
-		if _, err := first.Drain(); err != nil {
-			t.Fatal(err)
-		}
+		first.crash()
 
-		// Resume from the on-disk snapshot (full JSON round trip) and play
-		// the rest of the script on the same wall clock.
-		st, err := ReadState(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := NewFromState(testConfig(clk), st)
+		// Recover from the on-disk files and play the rest of the script on
+		// the same wall clock.
+		resumed, _, err := Recover(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,8 +137,8 @@ func TestSchedulerCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestSchedulerDrainSnapshotResumable pins that the snapshot written by
-// Drain itself (not just CaptureState) resumes exactly.
+// TestSchedulerDrainSnapshotResumable pins that the files a drain leaves
+// behind (its final snapshot plus the closed WAL) recover exactly.
 func TestSchedulerDrainSnapshotResumable(t *testing.T) {
 	ops := makeScript(9, 120, 32, false)
 	epoch := time.Unix(1700000000, 0)
@@ -166,10 +156,8 @@ func TestSchedulerDrainSnapshotResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(t.TempDir(), "drain.json")
 	clk := NewManualClock(epoch)
-	cfg := testConfig(clk)
-	cfg.SnapshotPath = path
+	cfg := walConfig(clk, t.TempDir(), nil, 0)
 	first, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -179,11 +167,7 @@ func TestSchedulerDrainSnapshotResumable(t *testing.T) {
 	if _, err := first.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := ReadState(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewFromState(testConfig(clk), st)
+	resumed, _, err := Recover(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,5 +395,41 @@ func TestSchedulerCancelAndStatus(t *testing.T) {
 	}
 	if _, err := s.Submit(JobRequest{Procs: 1, Runtime: 1}); err != ErrStopped {
 		t.Fatalf("submit after drain: %v, want ErrStopped", err)
+	}
+}
+
+// TestSchedulerPredictedStartAfterSameInstantCancel pins that a cancel
+// refreshes the plan behind predicted starts even when the clock has not
+// moved: once A leaves the queue, B moves up into A's slot.
+func TestSchedulerPredictedStartAfterSameInstantCancel(t *testing.T) {
+	clk := NewManualClock(time.Unix(1700000000, 0))
+	s, err := New(testConfig(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain()
+	clk.Advance(time.Second)
+	wide, err := s.Submit(JobRequest{Procs: 32, Runtime: 100})
+	if err != nil || !wide.Started {
+		t.Fatalf("first job should start: %+v err %v", wide, err)
+	}
+	a, err := s.Submit(JobRequest{Procs: 32, Runtime: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(JobRequest{Procs: 32, Runtime: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := wide.Submit + 100
+	if st, _ := s.Status(b.ID); st.PredictedStart != end+50 {
+		t.Fatalf("B predicted at %d before the cancel, want %d", st.PredictedStart, end+50)
+	}
+	if ok, err := s.CancelJob(a.ID); !ok || err != nil {
+		t.Fatalf("cancel A: (%v, %v)", ok, err)
+	}
+	if st, _ := s.Status(b.ID); st.PredictedStart != end {
+		t.Fatalf("B predicted at %d after A was canceled at the same instant, want %d", st.PredictedStart, end)
 	}
 }

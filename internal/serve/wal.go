@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -82,33 +83,31 @@ func decodeJobFields(p []byte) (*trace.Job, []byte, error) {
 	return j, p[7*8:], nil
 }
 
-func encodeSubmit(buf []byte, j *trace.Job, idem string) []byte {
-	buf = append(buf, walKindSubmit)
-	buf = appendJobFields(buf, j)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(idem)))
-	buf = append(buf, idem...)
+// encode appends r's payload to buf: the kind byte, then the kind's
+// fixed-width little-endian fields (decodeWalRec is the inverse).
+func (r walRec) encode(buf []byte) []byte {
+	buf = append(buf, r.kind)
+	switch r.kind {
+	case walKindSubmit:
+		buf = appendJobFields(buf, r.job)
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.idem)))
+		buf = append(buf, r.idem...)
+	case walKindCancel:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.id))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.time))
+	case walKindAdvance:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.time))
+	case walKindRecord:
+		buf = appendJobFields(buf, r.job)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.start))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.end))
+	}
 	return buf
 }
 
-func encodeCancel(buf []byte, id int, t int64) []byte {
-	buf = append(buf, walKindCancel)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(id))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
-	return buf
-}
-
-func encodeAdvance(buf []byte, t int64) []byte {
-	buf = append(buf, walKindAdvance)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t))
-	return buf
-}
-
-func encodeRecord(buf []byte, r metrics.Record) []byte {
-	buf = append(buf, walKindRecord)
-	buf = appendJobFields(buf, r.Job)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Start))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.End))
-	return buf
+// historyRec is the history-log entry for one dispatch record.
+func historyRec(r metrics.Record) walRec {
+	return walRec{kind: walKindRecord, job: r.Job, start: r.Start, end: r.End}
 }
 
 func decodeWalRec(p []byte) (walRec, error) {
@@ -165,10 +164,6 @@ func decodeWalRec(p []byte) (walRec, error) {
 
 // --- scheduler-side logging hooks (run goroutine only) ---
 
-// walActive reports whether the durability layer is up (configured and not
-// degraded).
-func (s *Scheduler) walActive() bool { return s.wlog != nil }
-
 // degrade flips the daemon into degraded in-memory mode: the durability
 // layer is closed, the reason is surfaced through /healthz, Stats and the
 // rlbf_degraded gauge, and scheduling continues without persistence. The
@@ -181,14 +176,7 @@ func (s *Scheduler) degrade(op string, err error) {
 	s.degradedReason.Store(reason)
 	s.degraded.Store(true)
 	s.mDegraded.Set(1)
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
-	}
-	if s.hlog != nil {
-		s.hlog.Close()
-		s.hlog = nil
-	}
+	s.closeLogs()
 	log.Printf("serve: %s: durability lost (%s); continuing degraded in-memory", s.cfg.Name, reason)
 	if s.feed != nil {
 		// A degraded daemon cannot replicate (its WAL no longer advances).
@@ -227,7 +215,8 @@ func (s *Scheduler) DegradedReason() string {
 // walAppend frames one record into the WAL; failures degrade. The payload is
 // also queued (copied — callers reuse encBuf) for the replication feed,
 // published at the next round boundary so batch ends line up with history
-// digest samples.
+// digest samples. The advertised position (WALApplied) moves only at that
+// publish, so a follower never advertises records it has not verified.
 func (s *Scheduler) walAppend(payload []byte) {
 	if s.wlog == nil {
 		return
@@ -241,17 +230,6 @@ func (s *Scheduler) walAppend(payload []byte) {
 	}
 	s.mWALRecords.Inc()
 	s.mWALBytes.Set(s.wlog.Size())
-	s.walCount.Store(int64(s.wlog.Records()))
-}
-
-// walAdvance logs a clock advance that is about to fire engine events, so
-// replay reaches the same instant before the same events.
-func (s *Scheduler) walAdvance(now int64) {
-	if s.wlog == nil {
-		return
-	}
-	s.encBuf = encodeAdvance(s.encBuf[:0], now)
-	s.walAppend(s.encBuf)
 }
 
 // walSync makes the WAL durable before a client acknowledgement. No-op when
@@ -275,7 +253,7 @@ func (s *Scheduler) walHistory(r metrics.Record) {
 	if s.hlog == nil {
 		return
 	}
-	s.encBuf = encodeRecord(s.encBuf[:0], r)
+	s.encBuf = historyRec(r).encode(s.encBuf[:0])
 	if err := s.hlog.Append(s.encBuf); err != nil {
 		s.degrade("history append", err)
 		return
@@ -315,27 +293,8 @@ func (s *Scheduler) compactTo(gen uint64) {
 	// Publish any pending records first so the feed's previous-generation
 	// buffer is complete before it rotates.
 	s.publishRepl()
-	if s.hlog != nil {
-		if err := s.hlog.Sync(); err != nil {
-			s.degrade("history sync", err)
-			return
-		}
-	}
-	st, err := s.captureState()
+	data, err := s.persistState(s.captureState(), gen, 0)
 	if err != nil {
-		s.degrade("capture state", err)
-		return
-	}
-	st.WALGen = gen
-	st.WALRecords = 0
-	st.Records = nil // the history log owns the record stream
-	data, err := marshalState(st)
-	if err != nil {
-		s.degrade("snapshot marshal", err)
-		return
-	}
-	if err := wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data); err != nil {
-		s.degrade("snapshot write", err)
 		return
 	}
 	if s.wlog != nil {
@@ -363,33 +322,41 @@ func (s *Scheduler) setGen(gen uint64) {
 	s.walGenA.Store(gen)
 }
 
-// writeSnapshot persists the current state outside the rotation path (the
-// periodic timer, cmdSnapshot, drain). In WAL mode it writes the compact
-// live-state form tied to the current generation; with the WAL degraded or
-// unconfigured it writes the legacy self-contained snapshot with the full
-// record history.
-func (s *Scheduler) writeSnapshot(st *State) error {
-	if s.cfg.SnapshotPath == "" {
-		return nil
-	}
-	if !s.walActive() {
-		return writeStateFS(s.fs, s.cfg.SnapshotPath, st)
-	}
+// persistState atomically writes st as the snapshot of WAL generation gen,
+// of which walRecords records are already reflected in it. The history
+// prefix the snapshot's HistoryCount points into is synced first. It
+// returns the snapshot bytes; failures degrade.
+func (s *Scheduler) persistState(st *State, gen uint64, walRecords int) ([]byte, error) {
 	if s.hlog != nil {
 		if err := s.hlog.Sync(); err != nil {
 			s.degrade("history sync", err)
-			return err
+			return nil, err
 		}
 	}
 	cp := *st
-	cp.Records = nil
-	cp.WALGen = s.walGen
-	cp.WALRecords = s.wlog.Records()
-	if err := writeStateFS(s.fs, s.cfg.SnapshotPath, &cp); err != nil {
-		s.degrade("snapshot write", err)
-		return err
+	cp.Records = nil // the history log owns the record stream
+	cp.WALGen, cp.WALRecords = gen, walRecords
+	data, err := json.Marshal(&cp)
+	if err == nil {
+		err = wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data)
 	}
-	return nil
+	if err != nil {
+		s.degrade("snapshot write", err)
+		return nil, err
+	}
+	return data, nil
+}
+
+// writeSnapshot persists the current state outside the rotation path (the
+// periodic timer, cmdSnapshot, drain), tied to the current WAL position.
+// Without a WAL (in-memory by configuration, or degraded) it writes
+// nothing: the files on disk stay the last consistent snapshot+WAL pair.
+func (s *Scheduler) writeSnapshot(st *State) error {
+	if s.wlog == nil {
+		return nil
+	}
+	_, err := s.persistState(st, s.walGen, s.wlog.Records())
+	return err
 }
 
 // closeWAL syncs and closes the durability files (drain path).
@@ -404,6 +371,11 @@ func (s *Scheduler) closeWAL() {
 			s.degrade("history sync", err)
 		}
 	}
+	s.closeLogs()
+}
+
+// closeLogs closes the durability files without syncing them.
+func (s *Scheduler) closeLogs() {
 	if s.wlog != nil {
 		s.wlog.Close()
 		s.wlog = nil
@@ -499,10 +471,11 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	info := &RecoveryInfo{}
 
 	// 1. Snapshot.
-	var st *State
-	switch loaded, err := readStateFS(fs, cfg.SnapshotPath); {
+	st, err := loadSnapshot(fs, cfg.SnapshotPath)
+	switch {
+	case err == nil && st.WALGen == 0:
+		return nil, nil, fmt.Errorf("serve: snapshot %s carries no WAL generation", cfg.SnapshotPath)
 	case err == nil:
-		st = loaded
 		info.SnapshotLoaded = true
 		info.SnapshotClock = st.SimClock
 	case errors.Is(err, os.ErrNotExist):
@@ -545,13 +518,7 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 
 	// 3. Build the scheduler at the snapshot state, with prior history from
 	// the history log rather than the snapshot body.
-	var s *Scheduler
-	var err error
-	if st != nil {
-		s, err = newFromStateWithPrior(cfg, st, histJobs[:histBase])
-	} else {
-		s, err = newEmpty(cfg)
-	}
+	s, err := newScheduler(cfg, st, histJobs[:histBase])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -561,14 +528,9 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	// snapshot already reflects. A stale generation (crash inside compact,
 	// after the snapshot rename and before the rotation) is wholly covered
 	// by the snapshot and discarded.
-	gen := uint64(1)
-	skip := 0
+	gen, skip := uint64(1), 0
 	if st != nil {
 		gen, skip = st.WALGen, st.WALRecords
-		if gen == 0 {
-			gen = 1 // legacy snapshot predating the WAL: adopt it as gen 1
-			skip = 0
-		}
 	}
 	var cmds [][]byte
 	var wres *wal.ReplayResult
@@ -592,47 +554,17 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 		return nil, nil, fmt.Errorf("serve: wal: %w", err)
 	}
 
-	// 5. Replay commands. The kernel is deterministic, so applying the same
-	// submissions, cancellations and clock advances to the snapshot state
-	// reproduces exactly the schedule the crashed process computed.
-	maxClock := s.eng.Now()
+	// 5. Replay commands through the live interpreter. The kernel is
+	// deterministic, so applying the same submissions, cancellations and
+	// clock advances to the snapshot state reproduces exactly the schedule
+	// the crashed process computed.
 	for i, p := range cmds {
 		rec, err := decodeWalRec(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: wal record %d: %v", skip+i, err)
+		if err == nil {
+			_, err = s.applyCmd(rec)
 		}
-		switch rec.kind {
-		case walKindSubmit:
-			if err := s.eng.Inject(rec.job); err != nil {
-				return nil, nil, fmt.Errorf("serve: replaying submit of job %d: %v", rec.job.ID, err)
-			}
-			s.submitted[rec.job.ID] = rec.job
-			if rec.idem != "" {
-				s.idem[rec.idem] = rec.job.ID
-			}
-			if rec.job.ID >= s.nextID {
-				s.nextID = rec.job.ID + 1
-			}
-			s.mSubmits.Inc()
-			if rec.job.Submit > maxClock {
-				maxClock = rec.job.Submit
-			}
-		case walKindCancel:
-			s.stepTo(rec.time)
-			if s.eng.Cancel(rec.id) {
-				s.mCancels.Inc()
-			}
-			s.canceledIDs[rec.id] = true
-			if rec.time > maxClock {
-				maxClock = rec.time
-			}
-		case walKindAdvance:
-			s.stepTo(rec.time)
-			if rec.time > maxClock {
-				maxClock = rec.time
-			}
-		default:
-			return nil, nil, fmt.Errorf("serve: wal record %d has kind %d, not a command", skip+i, rec.kind)
+		if err != nil {
+			return nil, nil, fmt.Errorf("serve: wal record %d: %w", skip+i, err)
 		}
 	}
 	info.Applied = len(cmds)
@@ -645,7 +577,7 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	common := min(len(post), len(rederived))
 	var enc []byte
 	for i := 0; i < common; i++ {
-		enc = encodeRecord(enc[:0], rederived[i])
+		enc = historyRec(rederived[i]).encode(enc[:0])
 		if !bytes.Equal(enc, hres.Records[histBase+i]) {
 			return nil, nil, fmt.Errorf("%w: record %d: replay {job %d start %d end %d} vs history {job %d start %d end %d}",
 				ErrReplayDivergence, histBase+i,
@@ -658,8 +590,7 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 
 	// 7. Repair the history log: keep header + prior + verified entries
 	// (dropping both any torn tail and any orphan entries that ran ahead of
-	// the recoverable state — replay re-derives those identically), then
-	// append the entries the crash lost.
+	// the recoverable state — replay re-derives those identically).
 	keep := histBase + common
 	goodSize := int64(16) // wal header
 	for _, p := range hres.Records[:keep] {
@@ -685,27 +616,19 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	for _, p := range hres.Records[:keep] {
 		s.histDigest = wal.Digest(s.histDigest, p)
 	}
-	for _, r := range rederived[common:] {
-		s.walHistory(r)
-		info.HistoryAppended++
-	}
 
-	// 8. Adopt the re-derived records into the daemon bookkeeping and
-	// re-anchor the clock at the furthest instant the log proves was
-	// reached.
-	for _, r := range rederived {
+	// 8. Adopt the re-derived records into the daemon bookkeeping (those the
+	// history log lost are re-appended to it) and re-anchor the clock at the
+	// furthest instant the log proves was reached.
+	for _, r := range rederived[:common] {
 		s.started[r.Job.ID] = r
 		s.mStarted.Inc()
 	}
-	s.recSeen = len(rederived)
-	if c := s.eng.Now(); c > maxClock {
-		maxClock = c
-	}
-	if st != nil && st.SimClock > maxClock {
-		maxClock = st.SimClock
-	}
-	s.simEpoch = maxClock
-	s.replClock = maxClock
+	s.recSeen = common
+	s.syncRecords()
+	info.HistoryAppended = len(rederived) - common
+	s.simEpoch = max(s.replClock, s.eng.Now())
+	s.replClock = s.simEpoch
 	s.setGen(gen)
 
 	if compactAfter {
@@ -736,16 +659,4 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	info.WALGen = s.walGen
 	info.Elapsed = time.Since(t0)
 	return s, info, nil
-}
-
-// stepTo advances the engine through every event at or before t (the replay
-// twin of advanceTo, without wall-clock metrics or WAL writes).
-func (s *Scheduler) stepTo(t int64) {
-	for {
-		et, ok := s.eng.NextEventTime()
-		if !ok || et > t {
-			return
-		}
-		s.eng.Step()
-	}
 }

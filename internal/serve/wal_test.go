@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,12 +310,23 @@ func TestServeWALIdempotentSubmitAcrossCrash(t *testing.T) {
 // TestServeWALDegradedMode pins graceful degradation: when the disk starts
 // failing, the daemon flips to in-memory mode — surfacing it through
 // Degraded/Stats — and keeps scheduling rather than dying with jobs queued.
+// A degraded daemon writes no snapshot, so what it left on disk before the
+// fault still recovers: every job acked before the fault is accounted for,
+// and the recovered records are a byte prefix of the degraded run's.
 func TestServeWALDegradedMode(t *testing.T) {
+	for _, compactEvery := range []int{0, 16} {
+		t.Run(fmt.Sprintf("compactEvery=%d", compactEvery), func(t *testing.T) {
+			testDegradedMode(t, compactEvery)
+		})
+	}
+}
+
+func testDegradedMode(t *testing.T, compactEvery int) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS(wal.OSFS{})
 	epoch := time.Unix(1700000000, 0)
 	clk := NewManualClock(epoch)
-	cfg := walConfig(clk, dir, ffs, 0)
+	cfg := walConfig(clk, dir, ffs, compactEvery)
 	ops := makeScript(17, 60, 32, false)
 	s, err := New(cfg)
 	if err != nil {
@@ -345,7 +357,7 @@ func TestServeWALDegradedMode(t *testing.T) {
 	if !stats.Degraded {
 		t.Fatal("stats do not report degraded")
 	}
-	ffs.FailSyncsAfter(-1) // disk "recovers" so the drain snapshot can land
+	ffs.FailSyncsAfter(-1) // the disk recovers before the drain
 	clk.Advance(24 * time.Hour)
 	st, err := s.Drain()
 	if err != nil {
@@ -353,5 +365,34 @@ func TestServeWALDegradedMode(t *testing.T) {
 	}
 	if len(st.Records) != 60 {
 		t.Fatalf("%d records after degraded run, want 60", len(st.Records))
+	}
+
+	r, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatalf("recover after a degraded run: %v", err)
+	}
+	r.Start()
+	rst, err := r.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, full := renderRecords(rst.Records), renderRecords(st.Records)
+	if !strings.HasPrefix(full, got) {
+		t.Fatalf("recovered records are not a prefix of the degraded run's:\n got:\n%s\nrun:\n%s", got, full)
+	}
+	seen := map[int]bool{}
+	for _, rec := range rst.Records {
+		seen[rec.Job.ID] = true
+	}
+	for _, j := range append(rst.Queued, rst.Pending...) {
+		seen[j.ID] = true
+	}
+	for _, id := range rst.Canceled {
+		seen[id] = true
+	}
+	for id := 1; id <= 30; id++ {
+		if !seen[id] {
+			t.Fatalf("job %d was acked before the fault but is missing after recovery", id)
+		}
 	}
 }

@@ -4,9 +4,10 @@
 //
 // Failover policy: the client remembers the last endpoint that accepted a
 // write and keeps using it. A connection failure, a 503 (follower or
-// draining) or a 409 (fenced ex-primary) rotates to the next endpoint; a 503
-// carrying an X-Rlbf-Leader header jumps straight to the advertised leader
-// when it is one of the configured endpoints. Retry-After is honored as a
+// draining) or a fenced 409 (an {"error":...} body, unlike the
+// {"canceled":false} 409 a cancel of a started job gets) rotates to the next
+// endpoint; a 503 carrying an X-Rlbf-Leader header jumps straight to the
+// advertised leader when it is one of the configured endpoints. Retry-After is honored as a
 // backoff floor. Every submission should carry an idempotency key, so a
 // retry that lands on the new primary after the old one crashed
 // mid-acknowledgement deduplicates instead of double-enqueueing.
@@ -184,6 +185,8 @@ func (c *Client) Status(id int) (*serve.JobStatus, error) {
 
 // Cancel cancels a job via the preferred endpoint, rotating on failover
 // outcomes like SubmitOnce. It reports whether the daemon canceled the job.
+// A reply about the job itself ({"canceled":false} with 409: it already
+// started or finished) is an answer, not a failover.
 func (c *Client) Cancel(id int) (bool, error) {
 	cur := c.preferred.Load()
 	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%d", c.endpoints[cur], id), nil)
@@ -196,6 +199,12 @@ func (c *Client) Cancel(id int) (bool, error) {
 		return false, err
 	}
 	defer drainClose(resp)
+	var body struct {
+		Canceled *bool `json:"canceled"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&body) == nil && body.Canceled != nil {
+		return *body.Canceled, nil
+	}
 	if failover(resp.StatusCode, nil) {
 		if leader := resp.Header.Get("X-Rlbf-Leader"); leader == "" || !c.adopt(leader) {
 			c.rotate(cur)

@@ -182,3 +182,53 @@ func TestClientFailoverConverges(t *testing.T) {
 		t.Fatalf("submit via fenced endpoint: code %d retries %d err %v", res.Code, retries, err)
 	}
 }
+
+// TestClientCancelAlreadyStarted pins that a 409 about the job itself
+// ({"canceled":false}: it already started or finished) is an answer, not a
+// failover: Cancel reports (false, nil) and keeps the preferred endpoint. A
+// fenced 409 ({"error":...}) still rotates away and reports an error.
+func TestClientCancelAlreadyStarted(t *testing.T) {
+	var otherHits atomic.Int64
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		otherHits.Add(1)
+		writeJSON(w, http.StatusOK, map[string]any{"id": 7, "canceled": true})
+	}))
+	defer other.Close()
+	started := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodDelete {
+			http.NotFound(w, r)
+			return
+		}
+		writeJSON(w, http.StatusConflict, map[string]any{"id": 7, "canceled": false})
+	}))
+	defer started.Close()
+
+	cl := New([]string{started.URL, other.URL}, nil)
+	for i := 0; i < 3; i++ {
+		ok, err := cl.Cancel(7)
+		if ok || err != nil {
+			t.Fatalf("cancel of a started job: (%v, %v), want (false, nil)", ok, err)
+		}
+		if cl.Endpoint() != started.URL {
+			t.Fatalf("an already-started reply moved the client to %s", cl.Endpoint())
+		}
+	}
+	if n := otherHits.Load(); n != 0 {
+		t.Fatalf("the other endpoint was hit %d times, want 0", n)
+	}
+
+	fenced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusConflict, map[string]string{"error": "fenced"})
+	}))
+	defer fenced.Close()
+	cl2 := New([]string{fenced.URL, other.URL}, nil)
+	if ok, err := cl2.Cancel(7); ok || err == nil {
+		t.Fatalf("cancel via a fenced endpoint: (%v, %v), want an error", ok, err)
+	}
+	if cl2.Endpoint() != other.URL {
+		t.Fatalf("a fenced 409 did not rotate: preferred %s", cl2.Endpoint())
+	}
+	if ok, err := cl2.Cancel(7); !ok || err != nil {
+		t.Fatalf("cancel after rotating: (%v, %v), want (true, nil)", ok, err)
+	}
+}

@@ -152,7 +152,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 						}
 					}
 					if cfg.CancelEvery > 0 && n%cfg.CancelEvery == 0 {
-						if _, cerr := cl.Cancel(res.Submit.ID); cerr == nil {
+						if ok, _ := cl.Cancel(res.Submit.ID); ok {
 							cancels.Add(1)
 						}
 					}
